@@ -98,8 +98,10 @@ scenario-smoke:
 		$(GO) run ./cmd/pfdrl -scenario $$f -homes 4 -days 1 || exit 1; \
 	done
 
+# gofmt drift fails the gate: `gofmt -l` lists every file it would rewrite.
 lint:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 verify: build test lint
 

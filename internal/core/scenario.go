@@ -82,7 +82,7 @@ type scenarioState struct {
 	overlay    *pricing.Overlay // nil without DR events
 	startMonth int
 
-	units [][]*derUnit     // [home][unit], spec order
+	units [][]*derUnit      // [home][unit], spec order
 	pv    [][]energy.PVSpec // [home] passive PV installations
 	fams  []derFamily
 

@@ -273,7 +273,7 @@ func TestAdversaryRoundDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
+		name  string
 		comms func() *wire.Exchange
 	}{
 		{"dense", func() *wire.Exchange { return nil }},

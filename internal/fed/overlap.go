@@ -29,20 +29,23 @@ import (
 
 // RoundWorkspace holds the buffers a repeated federation round reuses:
 // per-agent marshal buffers, parameter snapshots, staged aggregation
-// targets, and a pool of decode sets for received payloads. A workspace
-// serves one round at a time — BeginDecentralizedRound panics if the
-// previous round it carries has not been joined, because in-flight message
-// payloads alias the marshal buffers.
+// targets, each sender's decoded broadcast, and a pool of decode sets for
+// received payloads. A workspace serves one round at a time —
+// BeginDecentralizedRound panics if the previous round it carries has not
+// been joined, because in-flight message payloads alias the marshal
+// buffers.
 type RoundWorkspace struct {
 	// Comms, when non-nil, switches the workspace's rounds onto the
 	// compressed wire plane: snapshots encode through the Exchange
 	// (delta/top-k coding against each sender's last broadcast) instead
-	// of the dense PFP1 marshal, and aggregation streams each accepted
-	// payload straight into the staged sum — O(P) scratch per agent
-	// instead of decoding every set before averaging. All rounds sharing
-	// one Exchange must share one workspace (or otherwise serialize),
-	// because the Exchange's reference store advances with every encode.
-	// Nil keeps the legacy dense path, bit-for-bit.
+	// of the dense PFP1 marshal, and aggregation decodes each sender's
+	// broadcast once per round — one decoded set per sender, N·P floats
+	// held in the workspace — and folds it into every receiver's staged
+	// sum. Only a receipt that is not the shared broadcast (fednet's
+	// corrupted copy) is validated and folded from its own bytes. All
+	// rounds sharing one Exchange must share one workspace (or otherwise
+	// serialize), because the Exchange's reference store advances with
+	// every encode. Nil keeps the legacy dense path, bit-for-bit.
 	Comms *wire.Exchange
 
 	// Tel, when non-nil, reports every round this workspace carries —
@@ -65,6 +68,11 @@ type RoundWorkspace struct {
 
 	decode     [][]*tensor.Matrix
 	decodeUsed int
+
+	// shared caches each sender's broadcast, validated and decoded once
+	// per compressed round; indexed by sender like marshal, and allocated
+	// by the first round that aggregates.
+	shared []sharedBroadcast
 
 	// foldComp is the Kahan compensation scratch for the streaming fold
 	// (one O(P) buffer — aggregation is sequential per agent, so it is
@@ -163,6 +171,17 @@ type PendingRound struct {
 // ws may be nil for a one-shot round (fresh buffers); passing a workspace
 // across rounds removes the per-round marshal and snapshot allocations.
 func BeginDecentralizedRound(net *fednet.Network, models []*nn.Sequential, kind string, alpha int, ws *RoundWorkspace) *PendingRound {
+	return beginRound(net, models, kind, alpha, ws, (*PendingRound).aggregateStreaming)
+}
+
+// aggregator is a compressed-plane aggregation half: it reads the drained
+// inboxes and fills p's staged means, set counts and report.
+type aggregator func(p *PendingRound, msgs [][]fednet.Message, kind string, ws *RoundWorkspace)
+
+// beginRound is BeginDecentralizedRound with the compressed-plane
+// aggregation half supplied by the caller, so a test can run a reference
+// aggregation behind the very same transport half.
+func beginRound(net *fednet.Network, models []*nn.Sequential, kind string, alpha int, ws *RoundWorkspace, aggregate aggregator) *PendingRound {
 	p := &PendingRound{done: make(chan struct{})}
 	if ws != nil && ws.Tel != nil {
 		p.tel = ws.Tel
@@ -279,11 +298,7 @@ func BeginDecentralizedRound(net *fednet.Network, models []*nn.Sequential, kind 
 			foldStart = time.Now()
 		}
 		if ws.Comms != nil {
-			if ws.Adv != nil && ws.Adv.DefenseEnabled() {
-				p.aggregateScreened(msgs, kind, ws)
-			} else {
-				p.aggregateStreaming(msgs, kind, ws)
-			}
+			aggregate(p, msgs, kind, ws)
 		} else {
 			for idx, i := range p.agents {
 				ws.decodeUsed = 0 // agent idx's sets are consumed before idx+1 decodes
@@ -299,22 +314,39 @@ func BeginDecentralizedRound(net *fednet.Network, models []*nn.Sequential, kind 
 	return p
 }
 
-// aggregateStreaming is the compressed-plane aggregation half. Instead of
-// decoding every payload into its own parameter set and averaging the pile
-// (O(N·P) scratch at the aggregator), each accepted payload folds straight
-// into the staged sum, so scratch stays O(P) no matter how many peers
-// contributed. Two passes keep the mean exact: pass 1 validates payloads
-// and fixes the divisor, pass 2 folds the agent's own snapshot first and
-// then the messages in arrival order — exactly the element-order
-// nn.AverageParamSets applies to decoded sets, so the plain fold is
-// bit-identical to the dense path. The opt-in Kahan fold trades that
-// equality for compensated summation.
+// aggregateStreaming is the compressed-plane aggregation half. Every
+// sender's broadcast is validated and decoded once per round and shared by
+// all its receivers (sharedReceipt), and each receiver folds what it
+// accepts straight into its staged sum. Only a receipt that does not alias
+// the broadcast — fednet's fresh corrupted copy — is validated on its own
+// and folded from its bytes with Exchange.FoldInto. With the adversary
+// defense on, each receipt is screened (Adversary.Suspect) against the
+// receiver's own snapshot before it joins the mean.
+//
+// Two passes keep the mean exact: pass 1 validates and screens receipts and
+// fixes the divisor, pass 2 folds the agent's own snapshot first and then
+// the survivors in arrival order. wire.FoldLocal on a decoded set and
+// FoldInto on its payload apply the same foldOne per element, and that is
+// nn.AverageParamSets' element order too, so the plain fold is bit-identical
+// to the dense path and to a per-receipt fold. The opt-in Kahan fold trades
+// that equality with the dense path for compensated summation.
 func (p *PendingRound) aggregateStreaming(msgs [][]fednet.Message, kind string, ws *RoundWorkspace) {
 	x := ws.Comms
-	kahan := x.Options().KahanFold
-	var accepted []fednet.Message
+	opts := x.Options()
+	// A top-k fold adds the reference and the sparse correction as two
+	// products; folding their decoded sum would round differently, so top-k
+	// receipts always fold from the payload.
+	foldDecoded := opts.Level != wire.TopK
+	screen := ws.Adv != nil && ws.Adv.DefenseEnabled()
+	ws.resetShared()
+	type receipt struct {
+		msg fednet.Message
+		set []*tensor.Matrix // decoded values to fold, or nil to fold the payload
+	}
+	var accepted []receipt
 	for idx, i := range p.agents {
 		base := p.bases[idx]
+		ws.decodeUsed = 0 // agent idx's screened copies are consumed before idx+1 decodes
 		ownClean := paramsClean(ws.snaps[i])
 		if !ownClean {
 			p.rep.reject(i, i, kind, "NaN/Inf parameters", false)
@@ -324,11 +356,32 @@ func (p *PendingRound) aggregateStreaming(msgs [][]fednet.Message, kind string, 
 			if msg.Kind != kind {
 				continue
 			}
-			if err := x.Validate(msg.From, kind, base, msg.Payload); err != nil {
+			r := receipt{msg: msg}
+			var got []*tensor.Matrix
+			var err error
+			if c := ws.sharedReceipt(x, msg, kind, base); c != nil {
+				got, err = c.set, c.err
+				if foldDecoded {
+					r.set = got
+				}
+			} else {
+				err = x.Validate(msg.From, kind, base, msg.Payload)
+				if err == nil && screen {
+					got = ensureParamsLike(ws.nextDecodeSet(len(base)), base)
+					err = x.DecodeInto(got, msg.From, kind, msg.Payload)
+				}
+			}
+			if err != nil {
 				p.rep.reject(i, msg.From, msg.Kind, err.Error(), !errors.Is(err, wire.ErrDiverged))
 				continue
 			}
-			accepted = append(accepted, msg)
+			if screen {
+				if reason, bad := ws.Adv.Suspect(got, ws.snaps[i]); bad {
+					p.rep.rejectByzantine(i, msg.From, msg.Kind, reason)
+					continue
+				}
+			}
+			accepted = append(accepted, r)
 		}
 		total := len(accepted)
 		if ownClean {
@@ -344,65 +397,69 @@ func (p *PendingRound) aggregateStreaming(msgs [][]fednet.Message, kind string, 
 			m.Zero()
 		}
 		var comp [][]float64
-		if kahan {
+		if opts.KahanFold {
 			comp = ws.ensureComp(base)
 		}
 		if ownClean {
 			wire.FoldLocal(staged, comp, ws.snaps[i], inv)
 		}
-		for _, msg := range accepted {
-			if err := x.FoldInto(staged, comp, msg.From, kind, msg.Payload, inv); err != nil {
+		for _, r := range accepted {
+			if r.set != nil {
+				wire.FoldLocal(staged, comp, r.set, inv)
+				continue
+			}
+			if err := x.FoldInto(staged, comp, r.msg.From, kind, r.msg.Payload, inv); err != nil {
 				// Validate guaranteed this fold would succeed; failing here
 				// is a codec bug, not a fabric fault — fail the round loudly
 				// rather than install a half-folded aggregate.
-				p.err = fmt.Errorf("fed: folding payload from agent %d: %w", msg.From, err)
+				p.err = fmt.Errorf("fed: folding payload from agent %d: %w", r.msg.From, err)
 				return
 			}
 		}
 	}
 }
 
-// aggregateScreened is the compressed-plane aggregation half with the
-// adversary defense enabled. Streaming folds can't screen a payload they
-// never materialize, so this path decodes every accepted payload into a
-// pooled set, runs the Suspect gates against the receiver's own
-// snapshot, and averages survivors dense-style — the same element order
-// as the streaming fold, at the cost of O(N·P) transient scratch. It
-// runs only when a scenario turns the defense on; plain runs keep the
-// untouched streaming path.
-func (p *PendingRound) aggregateScreened(msgs [][]fednet.Message, kind string, ws *RoundWorkspace) {
-	x := ws.Comms
-	var sets [][]*tensor.Matrix
-	for idx, i := range p.agents {
-		base := p.bases[idx]
-		ws.decodeUsed = 0 // agent idx's sets are consumed before idx+1 decodes
-		sets = sets[:0]
-		if paramsClean(ws.snaps[i]) {
-			sets = append(sets, ws.snaps[i])
-		} else {
-			p.rep.reject(i, i, kind, "NaN/Inf parameters", false)
-		}
-		for _, msg := range msgs[i] {
-			if msg.Kind != kind {
-				continue
-			}
-			if err := x.Validate(msg.From, kind, base, msg.Payload); err != nil {
-				p.rep.reject(i, msg.From, msg.Kind, err.Error(), !errors.Is(err, wire.ErrDiverged))
-				continue
-			}
-			got := ensureParamsLike(ws.nextDecodeSet(len(base)), base)
-			if err := x.DecodeInto(got, msg.From, kind, msg.Payload); err != nil {
-				p.rep.reject(i, msg.From, msg.Kind, err.Error(), true)
-				continue
-			}
-			if reason, bad := ws.Adv.Suspect(got, ws.snaps[i]); bad {
-				p.rep.rejectByzantine(i, msg.From, msg.Kind, reason)
-				continue
-			}
-			sets = append(sets, got)
-		}
-		p.used[idx] = nn.AverageParamSets(p.staged[idx], sets...)
+// sharedBroadcast is one sender's broadcast as a round's receivers see it:
+// the Validate verdict (or the DecodeInto error) and the decoded values,
+// each computed once.
+type sharedBroadcast struct {
+	seen bool
+	err  error
+	set  []*tensor.Matrix
+}
+
+// resetShared sizes the cache like the marshal buffers and forgets the
+// previous round's decodes. The marshal buffers are reused from round to
+// round, so an entry that survived would match this round's payload
+// pointer with last round's values.
+func (ws *RoundWorkspace) resetShared() {
+	if n := len(ws.marshal); len(ws.shared) < n {
+		ws.shared = append(ws.shared, make([]sharedBroadcast, n-len(ws.shared))...)
 	}
+	for i := range ws.shared {
+		ws.shared[i].seen = false
+	}
+}
+
+// sharedReceipt returns msg's sender's broadcast, validated and decoded on
+// first sight, when msg.Payload is that sender's marshal buffer — the one
+// slice fednet hands every recipient. Any other receipt returns nil and
+// must be handled on its own. The round's models share one architecture,
+// so the first receiver's base shapes the decode for all of them.
+func (ws *RoundWorkspace) sharedReceipt(x *wire.Exchange, msg fednet.Message, kind string, base []*tensor.Matrix) *sharedBroadcast {
+	b := ws.marshal[msg.From]
+	if len(msg.Payload) == 0 || len(b) != len(msg.Payload) || &b[0] != &msg.Payload[0] {
+		return nil
+	}
+	c := &ws.shared[msg.From]
+	if !c.seen {
+		c.seen = true
+		c.set = ensureParamsLike(c.set, base)
+		if c.err = x.Validate(msg.From, kind, base, msg.Payload); c.err == nil {
+			c.err = x.DecodeInto(c.set, msg.From, kind, msg.Payload)
+		}
+	}
+	return c
 }
 
 // Join waits for the round's aggregation to finish, installs each staged

@@ -92,9 +92,9 @@ func TestValidateFieldErrors(t *testing.T) {
 
 func TestParseRejectsHostileDocuments(t *testing.T) {
 	bad := []string{
-		`{"Name": "x", "Turbo": true}`,          // unknown field
-		`{"Name": "x"} {"Name": "y"}`,           // trailing document
-		`{"Name": "x", "Events": [{"Day": []}]}`, // wrong type
+		`{"Name": "x", "Turbo": true}`,                      // unknown field
+		`{"Name": "x"} {"Name": "y"}`,                       // trailing document
+		`{"Name": "x", "Events": [{"Day": []}]}`,            // wrong type
 		`{"Name": "x", "Events": [{"PriceFactor": 1e999}]}`, // overflow
 		`{"Name":`, // truncated
 		`[1,2,3]`,  // wrong top-level shape

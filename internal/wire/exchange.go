@@ -76,6 +76,10 @@ func (x *Exchange) Options() Options { return x.opts }
 // Stats is a snapshot of an Exchange's codec counters.
 type Stats struct {
 	// PayloadsEncoded / PayloadsDecoded count EncodeInto and Validate calls.
+	// fed's rounds validate each broadcast once per round for all its
+	// receivers, plus each corrupted copy on its own, so under fed
+	// PayloadsDecoded counts broadcasts, not receipts. It feeds no result
+	// digest.
 	PayloadsEncoded uint64
 	PayloadsDecoded uint64
 	// BytesEncoded is the compressed payload bytes produced; DenseBytes is
