@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench throughput bench-comms bench-topology bench-store telemetry-smoke serve-smoke scenario-smoke lint verify ci clean
+.PHONY: all build test race bench throughput bench-comms bench-topology bench-store bench-smoke telemetry-smoke serve-smoke scenario-smoke lint verify ci clean
 
 all: verify
 
@@ -45,8 +45,9 @@ throughput:
 		$(if $(BASELINE),-baseline $(BASELINE))
 
 # Fleet-size × codec federation comms sweep (BENCH_comms.json): bytes per
-# round, encode/decode ns, aggregation scratch, and round wall time for the
-# PFP1 baseline vs the PFW2 dense/delta/top-k tiers (DESIGN.md §10).
+# round, encode/decode ns, the closed-form aggregation scratch, and round
+# wall time for the PFP1 baseline vs the PFW2 dense/delta/top-k tiers
+# (DESIGN.md §10).
 bench-comms:
 	$(GO) run ./cmd/pfdrl-bench -comms -out BENCH_comms.json
 
@@ -70,6 +71,13 @@ bench-store:
 	$(GO) run ./cmd/pfdrl-bench -store -out BENCH_store.json \
 		$(if $(STORE_HOMES),-store-homes $(STORE_HOMES)) \
 		$(if $(STORE_XL),-store-xl $(STORE_XL))
+
+# Benchmark-of-record smoke: the bench module's own tests run a small cut
+# of every BENCHMARK.json workload (the serve8 daemon included) and
+# check its outputs. The module is separate (bench/go.mod), so `go test
+# ./...` at the root never reaches it.
+bench-smoke:
+	$(GO) test -C bench ./...
 
 # Observability gate: boot a small run with the live telemetry server,
 # scrape /metrics, /healthz, and /debug/trace, and assert the key series
@@ -115,10 +123,10 @@ verify: build test lint
 # (compressed vs dense under drops/corruption/partitions), so the race
 # build exercises the compressed planes under fault injection. The serve
 # daemon and the counting RNG it snapshots join the race list because the
-# daemon's HTTP handlers race its background stepping loop by design. The
-# store and pecan packages join it because every parallel plane (fleet
-# batching, group prediction, cloud training) now decodes compressed
-# blocks into per-trace scratch concurrently. A reduced topology sweep
+# daemon's HTTP handlers read the view its background stepping loop
+# republishes, by design. The store and pecan packages join it because
+# every parallel plane (fleet batching, group prediction, cloud training)
+# now decodes compressed blocks into per-trace scratch concurrently. A reduced topology sweep
 # then regenerates BENCH_topology.json so message-count regressions
 # against the closed forms fail the gate, a reduced store sweep
 # regenerates BENCH_store.json so codec or memory regressions fail it
@@ -126,6 +134,7 @@ verify: build test lint
 # real binary. The energy and scenario packages join the race list
 # because DER dispatch state is read by the parallel stats/telemetry
 # planes, and the scenario smoke runs every shipped workload end to end.
+# The bench smoke runs the benchmark of record's small cut last.
 ci: verify
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core ./internal/energy ./internal/fed ./internal/fednet ./internal/forecast ./internal/nn ./internal/pecan ./internal/rng ./internal/sched ./internal/scenario ./internal/serve ./internal/store ./internal/tensor ./internal/wire ./internal/telemetry
@@ -133,6 +142,7 @@ ci: verify
 	$(MAKE) bench-store STORE_HOMES=64,256 STORE_XL=0
 	$(MAKE) serve-smoke
 	$(MAKE) scenario-smoke
+	$(MAKE) bench-smoke
 
 clean:
 	$(GO) clean ./...

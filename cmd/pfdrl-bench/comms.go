@@ -42,10 +42,11 @@ type commsCell struct {
 	// RoundWallNs is the mean wall time of one full round (broadcast,
 	// drain, aggregate, join), steady-state rounds only.
 	RoundWallNs float64 `json:"round_wall_ns"`
-	// AggScratchFloats is each aggregating agent's peak float64 scratch:
-	// the streaming fold stages one O(P) sum regardless of fleet size,
-	// while the legacy dense path materializes all N parameter sets
-	// before averaging — O(N·P).
+	// AggScratchFloats is a closed-form figure, not a measurement: P for
+	// the compressed tiers (one staged O(P) sum per aggregating agent) and
+	// N·P for dense (the legacy path materializes all N parameter sets
+	// before averaging). It leaves out the N·P decoded floats per plane
+	// that the compressed path's shared per-round decode holds.
 	AggScratchFloats int64 `json:"agg_scratch_floats_per_agent"`
 }
 
@@ -125,8 +126,7 @@ func measureCommsCell(agents, rounds int, seed int64, tier commsTier) (commsCell
 		Codec:       tier.name,
 		Rounds:      rounds,
 		ParamFloats: P,
-		// Streaming fold: one staged O(P) sum per agent. Legacy dense
-		// aggregation decodes every arriving set first: N sets of P.
+		// Set by formula (see the field's comment), not measured.
 		AggScratchFloats: int64(P),
 	}
 	if tier.opts == nil {
@@ -232,8 +232,9 @@ func measureCodecNs(tier commsTier, seed int64) (encNs, decNs float64, err error
 	return float64(encTot.Nanoseconds()) / iters, float64(decTot.Nanoseconds()) / iters, nil
 }
 
-// runCommsSweep measures bytes/round, codec timing, aggregation scratch, and
-// round wall time across fleet sizes × codec tiers and writes BENCH_comms.json.
+// runCommsSweep measures bytes/round, codec timing, and round wall time
+// across fleet sizes × codec tiers, adds the closed-form aggregation
+// scratch, and writes BENCH_comms.json.
 func runCommsSweep(agentsList string, rounds int, seed int64, outPath string) error {
 	agents, err := parseIntList(agentsList)
 	if err != nil {

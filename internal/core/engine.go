@@ -36,7 +36,8 @@ var ErrScenarioSnapshot = errors.New("core: snapshots of scenario runs are not s
 // mid-stream, serve forecasts and device plans between steps, snapshot the
 // full fleet to disk, and resume later — none of which a monolithic Run
 // can offer. All mutating methods must be externally serialized (the
-// daemon holds one mutex across step/serve/snapshot).
+// daemon holds one mutex across stepping, snapshots and the queries that
+// build its read view).
 type Engine struct {
 	sys   *System
 	timer *metrics.Timer

@@ -43,7 +43,8 @@ func (e *Engine) serveClock() (day, hour int) {
 // respect to simulation state — prediction writes only forecaster scratch
 // buffers — so interleaving it between StepHour calls cannot perturb the
 // run (the twin-run tests pin this). The caller must serialize it against
-// stepping; the daemon's mutex does.
+// stepping: the serve daemon calls it only under its mutex, while
+// publishing the read view its GET routes serve.
 func (e *Engine) ForecastNextHour(home int) ([]DeviceForecast, error) {
 	s := e.sys
 	if home < 0 || home >= len(s.homes) {
@@ -81,7 +82,7 @@ func (e *Engine) ForecastNextHour(home int) ([]DeviceForecast, error) {
 // device environment and reports the minute-by-minute mode plan. Like
 // ForecastNextHour it is perturbation-free between steps: Greedy does not
 // advance the agent's counters or RNG stream, and observation building
-// writes only scratch.
+// writes only scratch. It needs the same serialization against stepping.
 func (e *Engine) PlanNextHour(home int) ([]DevicePlan, error) {
 	s := e.sys
 	if home < 0 || home >= len(s.homes) {

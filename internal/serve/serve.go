@@ -5,13 +5,21 @@
 // checkpoints for crash recovery and warm starts.
 //
 // Concurrency model: one mutex serializes everything that touches the
-// engine — background stepping, query endpoints, reconfiguration, and
-// checkpointing. Queries are perturbation-free by construction (greedy
-// policy reads, scratch-only forecasts; see core's inspect tests), so
-// holding the lock briefly between steps is all the isolation needed.
+// engine — background stepping, reconfiguration, checkpointing, and
+// publishing the read view. GET routes never take it. Whenever what a
+// read would answer may have changed (a stepped or finished hour, an
+// applied config, a checkpoint attempt), the daemon encodes every GET
+// response body — status, settings, and each home's forecast and plan —
+// under the mutex into an immutable fleetView and swaps it in through an
+// atomic pointer; readers load the pointer and write bytes. A read therefore answers for
+// the last completed hour (FleetStatus.Minute says which) and never waits
+// out a step. Building the view calls the engine's query methods, which
+// are perturbation-free by construction (greedy policy reads,
+// scratch-only forecasts; see core's inspect tests).
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,6 +30,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -48,13 +57,36 @@ type Options struct {
 type Daemon struct {
 	mu   sync.Mutex
 	eng  *core.Engine
-	sink *telemetry.Sink
 	opts Options
 	log  *log.Logger
 
+	// view is what the GET routes serve; it is replaced, never mutated,
+	// and only under mu.
+	view           atomic.Pointer[fleetView]
+	publishSeconds *telemetry.Histogram
+
 	hoursSinceCkpt int
 	checkpoints    int
-	lastCkptAt     time.Time
+	lastCkptAt     *time.Time
+}
+
+// fleetView is an immutable snapshot of every GET response, each body
+// encoded exactly as writeJSON would encode it live.
+type fleetView struct {
+	status []byte // /v1/fleet/status
+	config []byte // GET /v1/config
+	homes  []homeView
+}
+
+// homeView holds one home's /v1/forecast and /v1/plan responses.
+type homeView struct {
+	forecast, plan response
+}
+
+// response is a pre-encoded JSON reply.
+type response struct {
+	code int
+	body []byte
 }
 
 // New builds a daemon over an engine — freshly constructed or resumed
@@ -70,7 +102,16 @@ func New(eng *core.Engine, sink *telemetry.Sink, opts Options) *Daemon {
 	if lg == nil {
 		lg = log.Default()
 	}
-	return &Daemon{eng: eng, sink: sink, opts: opts, log: lg}
+	d := &Daemon{
+		eng:  eng,
+		opts: opts,
+		log:  lg,
+		publishSeconds: sink.Histogram("pfdrl_serve_view_publish_seconds",
+			"wall time of one read-view publish, paid by the stepper under the daemon lock",
+			telemetry.DurationBuckets()),
+	}
+	d.publishLocked()
+	return d
 }
 
 // FleetStatus is the /v1/fleet/status payload.
@@ -87,10 +128,11 @@ type FleetStatus struct {
 
 	StepIntervalMS int `json:"step_interval_ms"`
 
-	CheckpointPath  string    `json:"checkpoint_path,omitempty"`
-	CheckpointEvery int       `json:"checkpoint_every_hours,omitempty"`
-	Checkpoints     int       `json:"checkpoints_written"`
-	LastCheckpoint  time.Time `json:"last_checkpoint,omitempty"`
+	CheckpointPath  string `json:"checkpoint_path,omitempty"`
+	CheckpointEvery int    `json:"checkpoint_every_hours,omitempty"`
+	Checkpoints     int    `json:"checkpoints_written"`
+	// LastCheckpoint is nil (and omitted) until the first write.
+	LastCheckpoint *time.Time `json:"last_checkpoint,omitempty"`
 
 	Settings core.LiveSettings `json:"settings"`
 }
@@ -112,20 +154,37 @@ func (d *Daemon) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/checkpoint", d.handleCheckpoint)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeJSON returns the bytes writeJSON sends for v, trailing newline
+// included.
+func encodeJSON(v any) []byte {
+	var b bytes.Buffer
+	_ = json.NewEncoder(&b).Encode(v)
+	return b.Bytes()
+}
+
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	writeBody(w, code, encodeJSON(v))
 }
 
-func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
+func writeError(w http.ResponseWriter, code int, err error) {
+	writeJSON(w, code, errorBody(err))
+}
+
+func errorBody(err error) map[string]string {
+	return map[string]string{"error": err.Error()}
+}
+
+// statusLocked assembles the status payload. Caller holds d.mu.
+func (d *Daemon) statusLocked() FleetStatus {
 	cfg := d.eng.System().Config()
-	st := FleetStatus{
+	return FleetStatus{
 		Method:          string(cfg.Method),
 		Scenario:        cfg.Scenario.DisplayName(),
 		Homes:           cfg.Homes,
@@ -142,8 +201,41 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 		LastCheckpoint:  d.lastCkptAt,
 		Settings:        d.eng.System().LiveSettings(),
 	}
-	d.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+}
+
+// homeResponse encodes one home query the way the live handler answered
+// it: the payload on success, a 404 error body otherwise.
+func homeResponse(payload any, err error) response {
+	if err != nil {
+		return response{http.StatusNotFound, encodeJSON(errorBody(err))}
+	}
+	return response{http.StatusOK, encodeJSON(payload)}
+}
+
+// publishLocked rebuilds the whole read view from the engine and swaps it
+// in. It runs after every change to what a GET would answer: a stepped or
+// finished hour, an applied config, and any checkpoint attempt — a
+// snapshot lands in-flight β rounds, which moves the forecasts. Caller
+// holds d.mu (or, in New, has the daemon to itself).
+func (d *Daemon) publishLocked() {
+	start := time.Now()
+	homes := make([]homeView, d.eng.System().Config().Homes)
+	for home := range homes {
+		fcs, err := d.eng.ForecastNextHour(home)
+		homes[home].forecast = homeResponse(map[string]any{"home": home, "forecasts": fcs}, err)
+		plans, err := d.eng.PlanNextHour(home)
+		homes[home].plan = homeResponse(map[string]any{"home": home, "plans": plans}, err)
+	}
+	d.view.Store(&fleetView{
+		status: encodeJSON(d.statusLocked()),
+		config: encodeJSON(d.eng.System().LiveSettings()),
+		homes:  homes,
+	})
+	d.publishSeconds.Observe(time.Since(start).Seconds())
+}
+
+func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
+	writeBody(w, http.StatusOK, d.view.Load().status)
 }
 
 // homeParam parses the {home} path segment.
@@ -155,43 +247,36 @@ func homeParam(r *http.Request) (int, error) {
 	return home, nil
 }
 
-func (d *Daemon) handleForecast(w http.ResponseWriter, r *http.Request) {
+// lookupHome finds the {home} path segment in the current view, writing
+// the error response itself when there is no such home.
+func (d *Daemon) lookupHome(w http.ResponseWriter, r *http.Request) (homeView, bool) {
 	home, err := homeParam(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return homeView{}, false
 	}
-	d.mu.Lock()
-	fcs, err := d.eng.ForecastNextHour(home)
-	d.mu.Unlock()
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
+	homes := d.view.Load().homes
+	if home < 0 || home >= len(homes) {
+		writeError(w, http.StatusNotFound, fmt.Errorf("serve: home %d outside [0,%d)", home, len(homes)))
+		return homeView{}, false
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"home": home, "forecasts": fcs})
+	return homes[home], true
+}
+
+func (d *Daemon) handleForecast(w http.ResponseWriter, r *http.Request) {
+	if hv, ok := d.lookupHome(w, r); ok {
+		writeBody(w, hv.forecast.code, hv.forecast.body)
+	}
 }
 
 func (d *Daemon) handlePlan(w http.ResponseWriter, r *http.Request) {
-	home, err := homeParam(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if hv, ok := d.lookupHome(w, r); ok {
+		writeBody(w, hv.plan.code, hv.plan.body)
 	}
-	d.mu.Lock()
-	plans, err := d.eng.PlanNextHour(home)
-	d.mu.Unlock()
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"home": home, "plans": plans})
 }
 
 func (d *Daemon) handleConfigGet(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
-	ls := d.eng.System().LiveSettings()
-	d.mu.Unlock()
-	writeJSON(w, http.StatusOK, ls)
+	writeBody(w, http.StatusOK, d.view.Load().config)
 }
 
 func (d *Daemon) handleConfigPost(w http.ResponseWriter, r *http.Request) {
@@ -203,6 +288,9 @@ func (d *Daemon) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 	d.mu.Lock()
 	err := d.eng.System().ApplyLiveSettings(ls)
 	applied := d.eng.System().LiveSettings()
+	if err == nil {
+		d.publishLocked()
+	}
 	d.mu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
@@ -220,6 +308,7 @@ func (d *Daemon) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	d.mu.Lock()
 	err := d.writeCheckpointLocked()
+	d.publishLocked()
 	n := d.checkpoints
 	d.mu.Unlock()
 	if err != nil {
@@ -231,7 +320,8 @@ func (d *Daemon) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 // writeCheckpointLocked snapshots the fleet atomically: the snapshot is
 // written to a sibling temp file and renamed over the target, so readers
-// never observe a torn checkpoint. Caller holds d.mu.
+// never observe a torn checkpoint. Caller holds d.mu and republishes the
+// view afterwards, whether or not the write succeeded.
 func (d *Daemon) writeCheckpointLocked() error {
 	path := d.opts.CheckpointPath
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
@@ -253,9 +343,10 @@ func (d *Daemon) writeCheckpointLocked() error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("serve: installing checkpoint: %w", err)
 	}
+	now := time.Now()
 	d.checkpoints++
 	d.hoursSinceCkpt = 0
-	d.lastCkptAt = time.Now()
+	d.lastCkptAt = &now
 	return nil
 }
 
@@ -281,19 +372,22 @@ func (d *Daemon) Run(ctx context.Context) error {
 }
 
 // stepOnce advances one simulated hour (or finishes the run) under the
-// daemon lock.
+// daemon lock and publishes the new read view. An already-finished fleet
+// has nothing to publish.
 func (d *Daemon) stepOnce() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.eng.Done() {
-		if !d.eng.Finished() {
-			res, err := d.eng.Finish()
-			if err != nil {
-				return err
-			}
-			d.log.Printf("serve: run complete: %d days, forecast accuracy %.3f, convergence day %d; serving trained fleet",
-				len(res.DailySavedKWhPerHome), res.ForecastAccuracy, res.ConvergenceDay+1)
+		if d.eng.Finished() {
+			return nil
 		}
+		res, err := d.eng.Finish()
+		if err != nil {
+			return err
+		}
+		d.publishLocked()
+		d.log.Printf("serve: run complete: %d days, forecast accuracy %.3f, convergence day %d; serving trained fleet",
+			len(res.DailySavedKWhPerHome), res.ForecastAccuracy, res.ConvergenceDay+1)
 		return nil
 	}
 	if err := d.eng.StepHour(); err != nil {
@@ -307,6 +401,7 @@ func (d *Daemon) stepOnce() error {
 			d.log.Printf("serve: checkpoint rotation failed: %v", err)
 		}
 	}
+	d.publishLocked()
 	return nil
 }
 
@@ -316,7 +411,9 @@ func (d *Daemon) finalCheckpoint(stepErr error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.opts.CheckpointPath != "" {
-		if err := d.writeCheckpointLocked(); err != nil {
+		err := d.writeCheckpointLocked()
+		d.publishLocked()
+		if err != nil {
 			d.log.Printf("serve: final checkpoint failed: %v", err)
 			if stepErr == nil {
 				stepErr = err
